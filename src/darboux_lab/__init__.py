@@ -20,16 +20,12 @@ _EXPORTS = {
     "simpson_samples": "quadrature",
     "adaptive_simpson": "quadrature",
     # specfun
-    "kummer_1f1": "specfun",
-    "gauss_2f1": "specfun",
-    "laguerre": "specfun",
     "log_gamma": "specfun",
     # potentials
     "PotentialSpec": "potentials",
     "make_morse": "potentials",
     "make_pt": "potentials",
     "make_oscillator": "potentials",
-    "eval_v0": "potentials",
     "energy": "potentials",
     "bound_state": "potentials",
     # seeds
@@ -43,13 +39,10 @@ _EXPORTS = {
     "ErmakovCoeffs": "ermakov",
     "AlphaFunction": "ermakov",
     "make_coeffs": "ermakov",
-    "alpha_eval": "ermakov",
     "invariant_j_scan": "ermakov",
-    "j_zero_branch": "ermakov",
     # darboux
     "SpectrumPrediction": "darboux",
     "predict_spectrum": "darboux",
-    "beta_lambda": "darboux",
     "complex_potential": "darboux",
     "transform_bound_state": "darboux",
     "missing_state": "darboux",
@@ -58,21 +51,18 @@ _EXPORTS = {
     "pt_symmetry_check": "darboux",
     # oracle
     "FdHamiltonian": "oracle",
-    "SpectrumReport": "oracle",
     "InterlacingReport": "oracle",
     "build_fd": "oracle",
     "dense_eigenvalues": "oracle",
     "eig_complex": "oracle",
-    "refine_eigenvalue": "oracle",
     "charpoly_roots": "oracle",
-    "spectrum_match": "oracle",
-    "richardson_pair": "oracle",
     "schrodinger_residual": "oracle",
     "interlacing_check": "oracle",
     "binorm": "oracle",
     # pipeline
     "Construction": "pipeline",
     "build_construction": "pipeline",
+    "spectrum_check": "pipeline",
     "richardson_spectrum": "pipeline",
     "verification_suite": "pipeline",
 }

@@ -88,17 +88,6 @@ def _beta_vec(alpha: AlphaFunction, x):
     return beta, dbeta
 
 
-def beta_lambda(alpha: AlphaFunction, x: float) -> tuple[complex, complex]:
-    """Darboux superpotential beta and its derivative at one abscissa.
-
-    beta = -alpha'/alpha + i lam/alpha^2 solves the Riccati equation
-    -beta' + beta^2 = V0 - eps exactly in the algebra; the residual on
-    samples is limited only by the seed evaluators.
-    """
-    beta, dbeta = _beta_vec(alpha, float(x))
-    return complex(beta[0]), complex(dbeta[0])
-
-
 def complex_potential(alpha: AlphaFunction, grid) -> ComplexField:
     """The partner potential V_lam sampled on a grid.
 

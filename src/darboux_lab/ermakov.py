@@ -16,9 +16,6 @@ so that 4ac - b^2 = 4 (lambda/omega0)^2 holds identically. alpha solves
 All derivatives are assembled through Q and the seed ODE u'' = (V0 - eps) u;
 nothing is differentiated numerically, and no power of Q beyond the first is
 ever formed (the seeds reach 1e+68 near window edges, so Q^2 would overflow).
-
-The J = 0 branch (complex alpha0 with I0 -> +-i lambda) is provided as a
-verification helper only; real potential construction always runs with J > 0.
 """
 
 from __future__ import annotations
@@ -127,12 +124,6 @@ class AlphaFunction:
         return alpha, dalpha, ddalpha
 
 
-def alpha_eval(alpha: AlphaFunction, x: float) -> tuple[float, float, float]:
-    """Scalar convenience wrapper: (alpha, alpha', alpha'') at one abscissa."""
-    a, da, dda = alpha.evaluate(float(x))
-    return float(a[0]), float(da[0]), float(dda[0])
-
-
 def invariant_j_scan(alpha: AlphaFunction, grid) -> float:
     """Max relative deviation of W^2(u_p, alpha) + (lam u_p / alpha)^2 from J.
 
@@ -147,38 +138,3 @@ def invariant_j_scan(alpha: AlphaFunction, grid) -> float:
     lam = alpha.coeffs.lam
     total = w * w + (lam * up / a_val) ** 2
     return float(np.max(np.abs(total - alpha.coeffs.big_j)) / alpha.coeffs.big_j)
-
-
-def j_zero_branch(pair: SeedPair, lam: float, c_alpha: complex = 1.0,
-                  sign: int = 1):
-    """Complex alpha0 evaluator for the degenerate J = 0 branch.
-
-    alpha0^2 = sign * i (2 lam / omega0) v u_p + c_alpha u_p^2, the formal
-    I0 -> sign * i*lam limit of the quadratic form. Verification helper only:
-    it feeds the Wronskian relation W(u_p, alpha0) = sign * i lam u_p / alpha0
-    and the phase-reconstruction checks. Potentials are never built from it.
-
-    Args:
-        pair: seed pair.
-        lam: deformation parameter, nonzero.
-        c_alpha: free constant multiplying u_p^2.
-        sign: +1 or -1 branch selector.
-
-    Returns:
-        Callable x -> (alpha0, alpha0') complex sample arrays, principal root.
-    """
-    if lam == 0.0:
-        raise ValueError("the J = 0 branch needs lam != 0")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    k = sign * 2j * lam / pair.omega0
-
-    def evaluate(x):
-        up, dup = pair.up(x)
-        v, dv = pair.v(x)
-        q0 = k * v * up + c_alpha * up * up
-        dq0 = k * (dv * up + v * dup) + 2.0 * c_alpha * up * dup
-        alpha0 = np.sqrt(q0.astype(complex))
-        return alpha0, dq0 / (2.0 * alpha0)
-
-    return evaluate

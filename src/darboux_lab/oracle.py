@@ -52,20 +52,6 @@ class FdHamiltonian:
         return bool(np.all(self.diag.imag == 0.0))
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Outcome of matching a predicted spectrum against computed eigenvalues."""
-
-    predicted: tuple
-    computed: tuple
-    abs_errors: tuple
-    max_imag: float
-    unmatched_spurious_below_cutoff: tuple
-    passed: bool
-    tol_abs: float
-    tol_imag: float
-
-
 def build_fd(potential, grid=None) -> FdHamiltonian:
     """Assemble the tridiagonal Hamiltonian.
 
@@ -134,43 +120,6 @@ def eig_complex(ham: FdHamiltonian) -> np.ndarray:
     if ham.is_real:
         return dense_eigenvalues(ham.diag.real, off, off)
     return dense_eigenvalues(ham.diag, off.astype(complex), off.astype(complex))
-
-
-def refine_eigenvalue(ham: FdHamiltonian, value: complex,
-                      iters: int = 3) -> tuple[complex, float]:
-    """Inverse-iteration polish of one eigenvalue estimate.
-
-    Returns the Rayleigh-quotient refinement and the relative residual
-    ||H v - lam v|| / ||H||_inf of the final vector.
-    """
-    from scipy.linalg import solve_banded
-
-    n = ham.diag.size
-    lam = complex(value)
-    rng = np.random.default_rng(7)
-    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    vec /= np.linalg.norm(vec)
-    off = np.full(n - 1, ham.off, dtype=complex)
-    for _ in range(iters):
-        ab = np.zeros((3, n), dtype=complex)
-        ab[0, 1:] = off
-        ab[1, :] = ham.diag - lam
-        ab[2, :-1] = off
-        try:
-            vec = solve_banded((1, 1), ab, vec)
-        except np.linalg.LinAlgError:
-            break
-        vec /= np.linalg.norm(vec)
-        hv = ham.diag * vec
-        hv[:-1] += ham.off * vec[1:]
-        hv[1:] += ham.off * vec[:-1]
-        lam = complex(np.vdot(vec, hv) / np.vdot(vec, vec))
-    hv = ham.diag * vec
-    hv[:-1] += ham.off * vec[1:]
-    hv[1:] += ham.off * vec[:-1]
-    scale = float(np.max(np.abs(ham.diag)) + 2.0 * abs(ham.off))
-    residual = float(np.linalg.norm(hv - lam * vec) / scale)
-    return lam, residual
 
 
 def _charpoly_eval(z: complex, diag: np.ndarray, lu: np.ndarray):
@@ -247,71 +196,41 @@ def charpoly_roots(diag, lower, upper, max_sweeps: int = 400,
     raise RuntimeError("Durand-Kerner sweeps exhausted without convergence")
 
 
-def _expand_slots(prediction) -> list:
-    slots = []
-    for e, m in zip(prediction.energies, prediction.multiplicities):
-        slots.extend([float(e)] * int(m))
-    return slots
+def match_levels(prediction, computed, cutoff: float | None = None):
+    """Nearest-value injective matching of predicted levels to eigenvalues.
 
+    The prediction is expanded into slots, one per unit of multiplicity, and
+    each slot claims its nearest unclaimed computed eigenvalue. Computed
+    values that no slot claimed and that lie below the cutoff are returned
+    as spurious; the cutoff defaults to just above the top prediction, and
+    for truncated-window potentials callers pass the continuum edge instead.
 
-def _match_injective(slots, computed):
-    """Nearest unclaimed eigenvalue per slot; returns (values, indices)."""
+    Returns:
+        (slots, matched, spurious): the slot energies as floats, the claimed
+        eigenvalues as a complex array in slot order, and the spurious values
+        as complex numbers in the order of `computed`.
+
+    Raises:
+        ValueError: fewer computed eigenvalues than slots.
+    """
+    slots = [float(e) for e, m in zip(prediction.energies,
+                                      prediction.multiplicities)
+             for _ in range(int(m))]
     comp = np.asarray(computed, dtype=complex)
     if comp.size < len(slots):
         raise ValueError("fewer computed eigenvalues than predicted slots")
     taken = np.zeros(comp.size, dtype=bool)
-    out = np.empty(len(slots), dtype=complex)
-    picked = []
+    matched = np.empty(len(slots), dtype=complex)
     for i, e in enumerate(slots):
         dist = np.abs(comp - e)
         dist[taken] = np.inf
         j = int(np.argmin(dist))
         taken[j] = True
-        picked.append(j)
-        out[i] = comp[j]
-    return out, picked
-
-
-def spectrum_match(prediction, computed, tol_abs: float, tol_imag: float,
-                   cutoff: float | None = None) -> SpectrumReport:
-    """Nearest-value injective matching of predictions against eigenvalues.
-
-    Each predicted energy claims its nearest unclaimed computed eigenvalue
-    (multiplicities claim several). Pass iff every claim lies within tol_abs
-    of its prediction and carries imaginary part at most tol_imag. Computed
-    values that nobody claimed and that lie below the cutoff are reported as
-    spurious; the cutoff defaults to just above the top prediction, and for
-    truncated-window potentials callers pass the continuum edge instead.
-    """
-    slots = _expand_slots(prediction)
-    comp = np.asarray(computed, dtype=complex)
-    matched, picked = _match_injective(slots, comp)
-    errors = np.abs(matched - np.asarray(slots))
-    max_imag = float(np.max(np.abs(matched.imag)))
+        matched[i] = comp[j]
     if cutoff is None:
         cutoff = max(slots) + 1e-9
-    picked_set = set(picked)
-    spurious = [complex(c) for i, c in enumerate(comp)
-                if i not in picked_set and c.real < cutoff]
-    passed = bool(np.all(errors <= tol_abs) and max_imag <= tol_imag)
-    return SpectrumReport(tuple(slots), tuple(map(complex, matched)),
-                          tuple(map(float, errors)), max_imag,
-                          tuple(spurious), passed, float(tol_abs),
-                          float(tol_imag))
-
-
-def richardson_pair(prediction, fine, coarse, rho: float) -> np.ndarray:
-    """Second-order Richardson extrapolation of matched eigenvalues.
-
-    Both eigenvalue lists are matched injectively to the prediction slots;
-    the combination (rho^2 E_fine - E_coarse) / (rho^2 - 1) cancels the h^2
-    error of the three-point stencil. rho is the coarse/fine step ratio.
-    """
-    slots = _expand_slots(prediction)
-    e_f, _ = _match_injective(slots, fine)
-    e_c, _ = _match_injective(slots, coarse)
-    r2 = rho * rho
-    return (r2 * e_f - e_c) / (r2 - 1.0)
+    spurious = [complex(c) for c in comp[~taken] if c.real < cutoff]
+    return slots, matched, spurious
 
 
 def schrodinger_residual(state: EigenState, potential: ComplexField) -> float:

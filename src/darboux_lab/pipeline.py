@@ -118,40 +118,43 @@ def spectrum_cutoff(spec: PotentialSpec, prediction) -> float:
     return max(prediction.energies) + 1e-9
 
 
+def _complex_pair(value: complex) -> dict:
+    return {"re": float(value.real), "im": float(value.imag)}
+
+
 def richardson_spectrum(make_field, window, prediction,
                         n_fine: int = _N_FINE, n_coarse: int = _N_COARSE,
                         tol_abs: float = 1e-2,
                         tol_imag: float = GATES["spectrum_imag"],
-                        cutoff: float | None = None) -> oracle.SpectrumReport:
+                        cutoff: float | None = None) -> dict:
     """FD spectra on an (h, ~2h) grid pair, Richardson-combined and matched.
 
     The fine list also supplies the spurious-eigenvalue report: computed
-    values below the cutoff that no prediction slot claimed.
+    values below the cutoff that no prediction slot claimed. Returns the
+    JSON-ready report.
     """
-    slots = oracle._expand_slots(prediction)
     grid_f = interior_grid(window[0], window[1], n_fine)
     grid_c = interior_grid(window[0], window[1], n_coarse)
     ham_f = oracle.build_fd(make_field(grid_f))
     ham_c = oracle.build_fd(make_field(grid_c))
-    ev_f = oracle.eig_complex(ham_f)
-    ev_c = oracle.eig_complex(ham_c)
-    e_f, picked = oracle._match_injective(slots, ev_f)
-    e_c, _ = oracle._match_injective(slots, ev_c)
+    slots, e_f, spurious = oracle.match_levels(
+        prediction, oracle.eig_complex(ham_f), cutoff)
+    _, e_c, _ = oracle.match_levels(prediction, oracle.eig_complex(ham_c))
     rho = ham_c.h / ham_f.h
     r2 = rho * rho
     extrap = (r2 * e_f - e_c) / (r2 - 1.0)
     errors = np.abs(extrap - np.asarray(slots))
     max_imag = float(np.max(np.abs(extrap.imag)))
-    if cutoff is None:
-        cutoff = max(slots) + 1e-9
-    picked_set = set(picked)
-    spurious = [complex(c) for i, c in enumerate(ev_f)
-                if i not in picked_set and c.real < cutoff]
-    passed = bool(np.all(errors <= tol_abs) and max_imag <= tol_imag)
-    return oracle.SpectrumReport(tuple(slots), tuple(map(complex, extrap)),
-                                 tuple(map(float, errors)), max_imag,
-                                 tuple(spurious), passed, float(tol_abs),
-                                 float(tol_imag))
+    return {
+        "predicted": slots,
+        "computed": [_complex_pair(c) for c in extrap],
+        "abs_errors": [float(e) for e in errors],
+        "max_imag": max_imag,
+        "unmatched_spurious_below_cutoff": [_complex_pair(c) for c in spurious],
+        "passed": bool(np.all(errors <= tol_abs) and max_imag <= tol_imag),
+        "tol_abs": float(tol_abs),
+        "tol_imag": float(tol_imag),
+    }
 
 
 def embedded_spectrum(make_field, window, prediction,
@@ -171,14 +174,10 @@ def embedded_spectrum(make_field, window, prediction,
     values, and the imaginary gate is the embedded one.
     """
     grid = interior_grid(window[0], window[1], n_fine)
-    computed = oracle.eig_complex(oracle.build_fd(make_field(grid)))
-    slots = oracle._expand_slots(prediction)
-    matched, picked = oracle._match_injective(slots, computed)
-    if cutoff is None:
-        cutoff = max(slots) + 1e-9
+    _, matched, spurious = oracle.match_levels(
+        prediction, oracle.eig_complex(oracle.build_fd(make_field(grid))),
+        cutoff)
     levels = []
-    errors = []
-    imags = []
     i = 0
     for energy_n, label, mult in zip(prediction.energies, prediction.labels,
                                      prediction.multiplicities):
@@ -191,37 +190,33 @@ def embedded_spectrum(make_field, window, prediction,
         if mult > 1:
             entry["splitting"] = float(np.max(np.abs(vals - rep)))
         levels.append(entry)
-        errors.append(entry["abs_error"])
-        imags.append(abs(rep.imag))
-    max_err = float(max(errors))
-    max_imag = float(max(imags))
-    picked_set = set(picked)
-    spurious = [_complex_pair(c) for k, c in enumerate(computed)
-                if k not in picked_set and c.real < cutoff]
-    passed = bool(max_err <= tol_abs and max_imag <= GATES["embedded_imag"])
+    max_err = max(lv["abs_error"] for lv in levels)
+    max_imag = max(abs(lv["value"]["im"]) for lv in levels)
     return {"mode": "embedded_pair_mean", "levels": levels,
             "max_abs_error": max_err, "max_imag": max_imag,
-            "unmatched_spurious_below_cutoff": spurious,
+            "unmatched_spurious_below_cutoff":
+                [_complex_pair(c) for c in spurious],
             "tol_abs": float(tol_abs),
-            "tol_imag": GATES["embedded_imag"], "passed": passed}
+            "tol_imag": GATES["embedded_imag"],
+            "passed": bool(max_err <= tol_abs
+                           and max_imag <= GATES["embedded_imag"])}
 
 
-def _complex_pair(value: complex) -> dict:
-    return {"re": float(value.real), "im": float(value.imag)}
+def spectrum_check(spec, make_field, window, prediction,
+                   n_fine: int, n_coarse: int) -> dict:
+    """The spectrum report for one construction, with the family's gates.
 
-
-def spectrum_report_dict(report: oracle.SpectrumReport) -> dict:
-    return {
-        "predicted": list(report.predicted),
-        "computed": [_complex_pair(c) for c in report.computed],
-        "abs_errors": list(report.abs_errors),
-        "max_imag": report.max_imag,
-        "unmatched_spurious_below_cutoff":
-            [_complex_pair(c) for c in report.unmatched_spurious_below_cutoff],
-        "passed": report.passed,
-        "tol_abs": report.tol_abs,
-        "tol_imag": report.tol_imag,
-    }
+    A prediction with a doubled level (epsilon equal to a level of the
+    initial system) is judged by the pair mean on the fine grid; every
+    other prediction by the Richardson pair.
+    """
+    tol_abs = default_tol_abs(spec)
+    cutoff = spectrum_cutoff(spec, prediction)
+    if 2 in prediction.multiplicities:
+        return embedded_spectrum(make_field, window, prediction, n_fine,
+                                 tol_abs=tol_abs, cutoff=cutoff)
+    return richardson_spectrum(make_field, window, prediction, n_fine,
+                               n_coarse, tol_abs=tol_abs, cutoff=cutoff)
 
 
 def _conditioned_scan(pair: SeedPair, grid, a_val, da_val, big_j: float):
@@ -240,21 +235,6 @@ def build_states(cons: Construction, grid, n_states: int):
     for n in range(n_states):
         states.append(darboux.transform_bound_state(cons.alpha, cons.spec, n, grid))
     return states
-
-
-def _spectrum_check(spec, make_field, window, prediction,
-                    n_fine: int, n_coarse: int) -> dict:
-    """Richardson report, or the pair-mean report for a doubled level."""
-    if 2 in prediction.multiplicities:
-        return embedded_spectrum(
-            make_field, window, prediction, n_fine,
-            tol_abs=default_tol_abs(spec),
-            cutoff=spectrum_cutoff(spec, prediction))
-    report = richardson_spectrum(
-        make_field, window, prediction, n_fine, n_coarse,
-        tol_abs=default_tol_abs(spec),
-        cutoff=spectrum_cutoff(spec, prediction))
-    return spectrum_report_dict(report)
 
 
 def verification_suite(cons: Construction, n_states: int,
@@ -301,7 +281,7 @@ def verification_suite(cons: Construction, n_states: int,
         checks["singularities"] = {"locations": [float(s) for s in sings],
                                    "count": len(sings)}
         if not sings:
-            checks["spectrum"] = _spectrum_check(
+            checks["spectrum"] = spectrum_check(
                 spec, make_field, window, prediction, n_fine, n_coarse)
             if not checks["spectrum"]["passed"]:
                 failures.append("spectrum")
@@ -312,7 +292,7 @@ def verification_suite(cons: Construction, n_states: int,
                "passed": not failures}
         return out
 
-    checks["spectrum"] = _spectrum_check(
+    checks["spectrum"] = spectrum_check(
         spec, make_field, window, prediction, n_fine, n_coarse)
     if not checks["spectrum"]["passed"]:
         failures.append("spectrum")

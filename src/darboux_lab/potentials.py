@@ -141,15 +141,6 @@ def _v0_vec(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
     return x * x
 
 
-def eval_v0(spec: PotentialSpec, x: float) -> float:
-    """Potential value at one abscissa.
-
-    Raises:
-        ValueError: x outside the (open, for Poschl-Teller) domain.
-    """
-    return float(_v0_vec(spec, np.array([float(x)]))[0])
-
-
 def energy(spec: PotentialSpec, n: int) -> float:
     """Discrete level E_n of the family.
 

@@ -1,11 +1,9 @@
 """Special functions for the closed-form seed solutions.
 
 Everything here is a direct power-series or recurrence evaluation with
-explicit convergence accounting. The public entry points are scalar and
-return a SeriesResult carrying the value together with how many terms were
-consumed and whether the tail dropped below the stopping threshold; the
-module-private vectorized variants are what the seed constructions call on
-whole grids.
+explicit convergence accounting. The series evaluators work elementwise on
+whole grids and return the values together with how many terms were consumed
+and whether the tail dropped below the stopping threshold.
 
 Design constraints observed throughout:
 
@@ -22,7 +20,6 @@ Design constraints observed throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,22 +42,6 @@ _LANCZOS_COEFFS = (
     1.5056327351493116e-7,
 )
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class SeriesResult:
-    """Outcome of a truncated series evaluation.
-
-    Attributes:
-        value: the partial (or exact, for terminating series) sum.
-        terms_used: number of series terms accumulated, counting the leading 1.
-        converged: True when the series terminated exactly or the running term
-            fell below the relative stopping threshold before MAX_TERMS.
-    """
-
-    value: float
-    terms_used: int
-    converged: bool
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -128,8 +109,12 @@ def _poch_ratio_term_count(*numerators: float):
 def _kummer_vec(a: float, c: float, z: np.ndarray):
     """Confluent series 1F1(a; c; z) elementwise.
 
-    Returns (values, terms_used, converged_mask). terms_used is the maximum
-    over elements.
+    A nonpositive-integer a terminates the series exactly after |a| + 1
+    terms. Returns (values, terms_used, converged_mask); terms_used is the
+    maximum over elements.
+
+    Raises:
+        ValueError: if c is a nonpositive integer.
     """
     if _is_nonpositive_integer(c):
         raise ValueError("1F1 undefined for nonpositive-integer denominator parameter")
@@ -155,28 +140,6 @@ def _kummer_vec(a: float, c: float, z: np.ndarray):
     if degree is not None and degree == 0:
         converged[:] = True
     return total, terms, converged
-
-
-def kummer_1f1(a: float, c: float, z: float) -> SeriesResult:
-    """Confluent hypergeometric function 1F1(a; c; z) by direct series.
-
-    A nonpositive-integer a terminates the series exactly after |a| + 1 terms.
-    Convergence is reported, not assumed: inspect SeriesResult.converged when
-    |z| is large enough that 500 terms may not reach the tail.
-
-    Args:
-        a: numerator parameter.
-        c: denominator parameter; nonpositive integers are rejected.
-        z: real argument.
-
-    Returns:
-        SeriesResult with the partial sum and convergence accounting.
-
-    Raises:
-        ValueError: if c is a nonpositive integer.
-    """
-    val, terms, conv = _kummer_vec(a, c, np.array([float(z)]))
-    return SeriesResult(float(val[0]), terms, bool(conv[0]))
 
 
 def _gauss_series_vec(a: float, b: float, c: float, z: np.ndarray):
@@ -226,7 +189,12 @@ def _gauss_vec(a: float, b: float, c: float, z: np.ndarray):
     """2F1(a, b; c; z) for 0 <= z < 1 elementwise.
 
     Direct series for z <= 0.75 or for terminating parameter sets; otherwise
-    the linear 1-z connection formula with two fast inner series.
+    the linear 1-z connection formula with two fast inner series. Same
+    return contract as _kummer_vec.
+
+    Raises:
+        ValueError: z outside [0, 1), c a nonpositive integer, or integer
+            c - a - b with z beyond the direct-series range.
     """
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0) or np.any(z >= 1.0):
@@ -267,31 +235,6 @@ def _gauss_vec(a: float, b: float, c: float, z: np.ndarray):
     return out, terms_total, converged
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float) -> SeriesResult:
-    """Gauss hypergeometric function 2F1(a, b; c; z) on 0 <= z < 1.
-
-    Terminating series (a or b a nonpositive integer) are summed exactly as
-    polynomials for any z in the domain. Non-terminating evaluations switch to
-    the two-term 1-z connection formula once z > 0.75, which keeps both inner
-    series short all the way to the endpoint.
-
-    Args:
-        a, b: numerator parameters.
-        c: denominator parameter; nonpositive integers are rejected.
-        z: argument in [0, 1).
-
-    Returns:
-        SeriesResult with the value and convergence accounting.
-
-    Raises:
-        ValueError: if z is outside [0, 1), c is a nonpositive integer, or the
-            parameter combination degenerates the connection formula
-            (integer c - a - b with z beyond the direct-series range).
-    """
-    val, terms, conv = _gauss_vec(a, b, c, np.array([float(z)]))
-    return SeriesResult(float(val[0]), terms, bool(conv[0]))
-
-
 def _laguerre_vec(n: int, alpha: float, y: np.ndarray):
     """Generalized Laguerre polynomial and derivative by three-term recurrence.
 
@@ -313,9 +256,3 @@ def _laguerre_vec(n: int, alpha: float, y: np.ndarray):
         l_prev, l_cur = l_cur, l_next
         d_prev, d_cur = d_cur, d_next
     return l_cur, d_cur
-
-
-def laguerre(n: int, alpha: float, y: float) -> float:
-    """Generalized Laguerre polynomial L_n^(alpha)(y) by stable recurrence."""
-    val, _ = _laguerre_vec(n, alpha, np.array([float(y)]))
-    return float(val[0])

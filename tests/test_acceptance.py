@@ -45,8 +45,7 @@ def test_criterion_1_morse_complex_spectrum(capfd, get_case):
         n_fine=1200, n_coarse=600, tol_abs=1e-2,
         cutoff=pipeline.spectrum_cutoff(cons.spec, prediction))
     elapsed = time.perf_counter() - t0
-    ok, detail = _spectrum_ok(pipeline.spectrum_report_dict(report),
-                              (0.0, 2.65, 6.45, 8.25), 1e-2)
+    ok, detail = _spectrum_ok(report, (0.0, 2.65, 6.45, 8.25), 1e-2)
     _verdict(capfd, 1, ok and elapsed <= 120.0,
              f"{detail}, {elapsed:.1f} s at n=1200")
 
@@ -116,8 +115,7 @@ def test_criterion_6_real_family(capfd):
             member, window, prediction, n_fine=1200, n_coarse=600,
             tol_abs=2e-2, cutoff=pipeline.spectrum_cutoff(cons.spec,
                                                           prediction))
-        sp_ok, detail = _spectrum_ok(pipeline.spectrum_report_dict(report),
-                                     (5.26, 9.0, 16.0, 25.0), 2e-2)
+        sp_ok, detail = _spectrum_ok(report, (5.26, 9.0, 16.0, 25.0), 2e-2)
         ok = ok and len(sings) == 0 and sp_ok
         parts.append(f"gamma_m={gamma_m}: {len(sings)} zeros, {detail}")
     _verdict(capfd, 6, ok, "; ".join(parts))

@@ -7,12 +7,13 @@ experiment.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from darboux_lab.cli import main
+from darboux_lab.cli import _THREAD_VARS, main
 
 
 def run_cli(argv, capsys):
@@ -68,15 +69,18 @@ def test_bad_config_file(tmp_path, capsys):
 
 
 def test_thread_cap_env(tmp_path, monkeypatch, capsys):
+    # the cap writes the BLAS variables into os.environ; setting them through
+    # monkeypatch first makes it restore them for later tests and subprocesses
+    for var in _THREAD_VARS:
+        monkeypatch.setenv(var, "1")
     monkeypatch.setenv("DARBOUX_LAB_THREADS", "soon")
     assert main(["potential", "--npoints", "60"]) == 2
     monkeypatch.setenv("DARBOUX_LAB_THREADS", "0")
     assert main(["potential", "--npoints", "60"]) == 2
-    import os
     monkeypatch.setenv("DARBOUX_LAB_THREADS", "2")
     out = tmp_path / "v.csv"
     assert main(["potential", "--npoints", "60", "--out", str(out)]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+    assert all(os.environ[var] == "2" for var in _THREAD_VARS)
 
 
 # ------------------------------------------------------------- output formats
@@ -135,6 +139,17 @@ def test_spectrum_failure_exit_1(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["spectrum"]["passed"] is False
+
+
+def test_spectrum_embedded_level_judged_by_pair_mean(capsys):
+    # epsilon = E1 of the default Morse well: `spectrum` takes the pair-mean
+    # path `verify` takes, so the defective pair passes the embedded gate
+    code, out = run_cli(
+        ["spectrum", "--epsilon", "6.45", "--npoints", "1100"], capsys)
+    assert code == 0
+    sp = json.loads(out)["spectrum"]
+    assert sp["mode"] == "embedded_pair_mean" and sp["passed"]
+    assert sum("splitting" in level for level in sp["levels"]) == 1
 
 
 def test_verify_pass_exit_0(capsys):

@@ -8,7 +8,7 @@ import pytest
 from darboux_lab import darboux
 from darboux_lab.ermakov import AlphaFunction, make_coeffs
 from darboux_lab.fields import interior_grid
-from darboux_lab.potentials import energy, eval_v0, make_morse, make_pt
+from darboux_lab.potentials import _v0_vec, energy, make_morse, make_pt
 from darboux_lab.quadrature import simpson_samples
 from darboux_lab.seeds import analytic_pair
 
@@ -39,10 +39,10 @@ def test_prediction_merges_embedded_level():
 def test_beta_satisfies_riccati_equation(get_case):
     cons = get_case("case1")
     spec = cons.spec
-    for x in (-0.8, 0.3, 1.7, 4.0, 9.5):
-        beta, dbeta = darboux.beta_lambda(cons.alpha, x)
-        resid = -dbeta + beta * beta - (eval_v0(spec, x) - cons.pair.epsilon)
-        assert abs(resid) < 1e-7
+    x = np.array([-0.8, 0.3, 1.7, 4.0, 9.5])
+    beta, dbeta = darboux._beta_vec(cons.alpha, x)
+    resid = -dbeta + beta * beta - (_v0_vec(spec, x) - cons.pair.epsilon)
+    assert np.all(np.abs(resid) < 1e-7)
 
 
 def test_complex_potential_difference_tracks_beta_derivative(get_case):
@@ -50,9 +50,8 @@ def test_complex_potential_difference_tracks_beta_derivative(get_case):
     cons = get_case("case1")
     grid = interior_grid(-2.0, 10.0, 501)
     field = darboux.complex_potential(cons.alpha, grid)
-    v0 = np.array([eval_v0(cons.spec, float(t)) for t in grid])
-    dbeta = np.array([darboux.beta_lambda(cons.alpha, float(t))[1]
-                      for t in grid])
+    v0 = _v0_vec(cons.spec, grid)
+    _, dbeta = darboux._beta_vec(cons.alpha, grid)
     assert np.max(np.abs(field.values - v0 - 2.0 * dbeta)) < 1e-9
 
 
@@ -97,8 +96,7 @@ def test_missing_state_energy_tails_and_log_derivative(get_case):
     assert max(abs(st.samples[0]), abs(st.samples[-1])) < 1e-4
     # d/dx log psi_eps = beta where the state has support
     raw, draw = darboux._missing_with_derivative(cons.alpha, grid)
-    beta = np.array([darboux.beta_lambda(cons.alpha, float(t))[0]
-                     for t in grid[::100]])
+    beta, _ = darboux._beta_vec(cons.alpha, grid[::100])
     logd = draw[::100] / raw[::100]
     assert np.max(np.abs(logd - beta)) < 1e-8
 

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from darboux_lab.ermakov import (
-    AlphaFunction, invariant_j_scan, j_zero_branch, make_coeffs)
+from darboux_lab.ermakov import AlphaFunction, invariant_j_scan, make_coeffs
 from darboux_lab.fields import interior_grid
-from darboux_lab.potentials import eval_v0, make_morse, make_pt
+from darboux_lab.potentials import _v0_vec, make_morse, make_pt
 from darboux_lab.seeds import analytic_pair
 
 
@@ -50,7 +49,7 @@ def test_ermakov_equation_residual():
     alpha = AlphaFunction(pair, make_coeffs(1.0, 1.0, 1.0, pair.omega0))
     grid = interior_grid(spec.window[0], spec.window[1], 1000)
     a_val, _, dda = alpha.evaluate(grid)
-    v0 = np.array([eval_v0(spec, float(t)) for t in grid])
+    v0 = _v0_vec(spec, grid)
     resid = np.abs(dda - v0 * a_val - 1.0 / a_val ** 3)
     assert float(np.max(resid / np.maximum(1.0, np.abs(dda)))) < 1e-7
     assert np.all(a_val > 0.0)
@@ -111,23 +110,3 @@ def test_second_derivative_of_q_by_finite_differences():
     qm = alpha.q_parts(grid - h)[0]
     num = (qp - 2.0 * q0 + qm) / (h * h)
     assert float(np.max(np.abs(num - ddq) / np.maximum(1.0, np.abs(ddq)))) < 1e-6
-
-
-def test_degenerate_branch_wronskian_relation():
-    # on the J = 0 branch, W(u_p, alpha0) = sign * i lam u_p / alpha0
-    pair = analytic_pair(make_morse(1.0, 0.4, 2), 0.0)
-    grid = np.linspace(-0.5, 3.0, 41)
-    up, dup = pair.up(grid)
-    for sign in (1, -1):
-        branch = j_zero_branch(pair, 1.0, 1.0, sign)
-        a0, da0 = branch(grid)
-        wron = up * da0 - dup * a0
-        assert float(np.max(np.abs(wron - sign * 1j * up / a0))) < 1e-10
-
-
-def test_degenerate_branch_rejects_bad_arguments():
-    pair = analytic_pair(make_morse(1.0, 0.4, 2), 0.0)
-    with pytest.raises(ValueError):
-        j_zero_branch(pair, 0.0)
-    with pytest.raises(ValueError):
-        j_zero_branch(pair, 1.0, 1.0, 2)

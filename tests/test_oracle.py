@@ -11,6 +11,7 @@ import pytest
 from darboux_lab import oracle
 from darboux_lab.darboux import SpectrumPrediction
 from darboux_lab.fields import ComplexField, EigenState, RealField, interior_grid
+from darboux_lab.pipeline import richardson_spectrum
 
 
 def _box_hamiltonian(n=1500):
@@ -45,50 +46,54 @@ def test_charpoly_agrees_with_qr_eigenvalues(n, seed):
         assert np.min(np.abs(np.asarray(dense) - r)) < 1e-8
 
 
-def test_refine_eigenvalue_recovers_perturbed_value():
-    ham = _box_hamiltonian(400)
-    exact = np.sort_complex(oracle.eig_complex(ham))[1]
-    refined, residual = oracle.refine_eigenvalue(ham, exact + 7e-3)
-    assert abs(refined - exact) < 1e-10
-    assert residual < 1e-12
-
-
 def test_spectrum_match_reports_errors_and_spurious():
     pred = SpectrumPrediction((1.0, 4.0), ("eps", "E0"), (1, 1))
     computed = [4.003 + 2e-9j, 0.999, 2.5, 11.0]
-    report = oracle.spectrum_match(pred, computed, tol_abs=1e-2,
-                                   tol_imag=1e-6, cutoff=10.0)
-    assert report.passed
-    assert report.abs_errors == pytest.approx((1e-3, 3e-3), abs=1e-9)
+    slots, matched, spurious = oracle.match_levels(pred, computed, cutoff=10.0)
+    assert slots == [1.0, 4.0]
+    assert np.abs(matched - slots) == pytest.approx((1e-3, 3e-3), abs=1e-9)
     # 2.5 is below the cutoff and unclaimed; 11.0 is past it
-    assert report.unmatched_spurious_below_cutoff == (2.5 + 0.0j,)
+    assert spurious == [2.5 + 0.0j]
 
 
 def test_spectrum_match_expands_multiplicity():
     pred = SpectrumPrediction((1.0, 4.0), ("E0", "E1+eps"), (1, 2))
     computed = [1.0, 3.99, 4.01]
-    report = oracle.spectrum_match(pred, computed, tol_abs=2e-2, tol_imag=1e-6)
-    assert report.predicted == (1.0, 4.0, 4.0)
-    assert report.passed
+    slots, matched, spurious = oracle.match_levels(pred, computed)
+    assert slots == [1.0, 4.0, 4.0]
+    # the doubled level claims both members of the split pair
+    assert sorted(matched[1:].real) == [3.99, 4.01]
+    assert spurious == []
+
+
+def _box_field(grid, shift=0.0):
+    return ComplexField(grid, np.full(grid.size, shift, dtype=complex))
+
+
+_BOX = SpectrumPrediction((1.0, 4.0, 9.0), ("E0", "E1", "E2"), (1, 1, 1))
 
 
 def test_spectrum_match_fails_on_imaginary_leak():
-    pred = SpectrumPrediction((1.0,), ("eps",), (1,))
-    report = oracle.spectrum_match(pred, [1.0 + 1e-3j], tol_abs=1e-2,
-                                   tol_imag=1e-6)
-    assert not report.passed
+    # a constant potential i*1e-3 shifts every box level by exactly that much:
+    # the real parts stay within tol_abs, the imaginary gate must fail
+    report = richardson_spectrum(lambda g: _box_field(g, 1e-3j), (0.0, math.pi),
+                                 _BOX, n_fine=600, n_coarse=300, tol_abs=1e-2)
+    assert max(report["abs_errors"]) <= 1e-2
+    assert report["max_imag"] == pytest.approx(1e-3, rel=1e-6)
+    assert not report["passed"]
 
 
-def test_richardson_pair_removes_quadratic_error_exactly():
-    # synthetic h^2 model: fine = E + C, coarse = E + C rho^2
-    pred = SpectrumPrediction((2.0, 7.0), ("a", "b"), (1, 1))
-    truth = np.array([2.0, 7.0])
-    c = np.array([0.13, -0.4])
-    rho = 2.0
-    fine = truth + c
-    coarse = truth + c * rho * rho
-    extrap = oracle.richardson_pair(pred, fine, coarse, rho)
-    assert np.max(np.abs(extrap - truth)) < 1e-13
+def test_richardson_spectrum_beats_fine_grid_on_box():
+    # particle in a box: the three-point stencil misses E = k^2 by about
+    # k^4 h^2 / 12, and the (h, 2h) combination must cancel that term
+    report = richardson_spectrum(_box_field, (0.0, math.pi), _BOX,
+                                 n_fine=600, n_coarse=300, tol_abs=1e-2)
+    assert report["passed"]
+    assert report["unmatched_spurious_below_cutoff"] == []
+    ham = oracle.build_fd(_box_field(interior_grid(0.0, math.pi, 600)))
+    _, fine, _ = oracle.match_levels(_BOX, oracle.eig_complex(ham))
+    fine_errors = np.abs(fine - np.array(_BOX.energies))
+    assert np.all(100.0 * np.array(report["abs_errors"]) <= fine_errors)
 
 
 def test_residual_flags_wrong_energy():

@@ -4,6 +4,7 @@ special handling of embedded factorization energies."""
 import numpy as np
 import pytest
 
+import darboux_lab
 from darboux_lab.darboux import predict_spectrum
 from darboux_lab.pipeline import (
     GATES, build_construction, embedded_spectrum, field_factory,
@@ -97,3 +98,9 @@ def test_embedded_level_judged_by_pair_mean():
     # the conjugate pair straddles the level by much more than its mean
     # misses it; that gap is exactly why the mean is the tested quantity
     assert doubled[0]["splitting"] > 10.0 * doubled[0]["abs_error"]
+
+
+def test_every_export_resolves():
+    # the package loads its exports lazily from a name table
+    for name in darboux_lab.__all__:
+        assert getattr(darboux_lab, name) is not None, name

@@ -8,7 +8,7 @@ import pytest
 from darboux_lab import oracle
 from darboux_lab.fields import interior_grid
 from darboux_lab.potentials import (
-    bound_state, energy, eval_v0, make_morse, make_oscillator, make_pt)
+    _v0_vec, bound_state, energy, make_morse, make_oscillator, make_pt)
 from darboux_lab.quadrature import simpson_samples
 
 
@@ -42,9 +42,10 @@ def test_morse_shape():
     # minimum value 0 at the origin, dissociation to gamma0 on the right,
     # steep repulsive wall on the left
     spec = make_morse(1.0, 0.4, 2)
-    assert eval_v0(spec, 0.0) == 0.0
-    assert eval_v0(spec, 15.0) == pytest.approx(spec.params["gamma0"], rel=1e-3)
-    assert eval_v0(spec, -1.0) > 2.0 * spec.params["gamma0"]
+    v_min, v_right, v_left = _v0_vec(spec, np.array([0.0, 15.0, -1.0]))
+    assert v_min == 0.0
+    assert v_right == pytest.approx(spec.params["gamma0"], rel=1e-3)
+    assert v_left > 2.0 * spec.params["gamma0"]
 
 
 def test_pt_level_set_is_quadratic_ladder():
@@ -65,10 +66,11 @@ def test_pt_window_is_the_hard_domain():
 
 def test_pt_minimum_and_wall():
     spec = make_pt(1.0, 3.0)
-    assert eval_v0(spec, 0.0) == pytest.approx(6.0, rel=1e-14)
-    assert eval_v0(spec, 1.5) > 1e3
+    v_min, v_wall = _v0_vec(spec, np.array([0.0, 1.5]))
+    assert v_min == pytest.approx(6.0, rel=1e-14)
+    assert v_wall > 1e3
     with pytest.raises(ValueError):
-        eval_v0(spec, 1.6)
+        _v0_vec(spec, np.array([1.6]))
 
 
 def test_oscillator_levels_are_odd_integers():
@@ -101,7 +103,7 @@ def test_bound_states_solve_their_own_equation(family, n):
         lo, hi = lo + 1e-7, hi - 1e-7
     grid = interior_grid(lo, hi, 4001)
     state = bound_state(spec, n, grid)
-    v0 = np.array([eval_v0(spec, float(t)) for t in grid])
+    v0 = _v0_vec(spec, grid)
     from darboux_lab.fields import ComplexField, EigenState
     field = ComplexField(grid, v0.astype(complex))
     est = EigenState(energy(spec, n), grid, state.values.astype(complex),

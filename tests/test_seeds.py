@@ -7,8 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from darboux_lab.fields import interior_grid
-from darboux_lab.potentials import (
-    eval_v0, make_morse, make_oscillator, make_pt)
+from darboux_lab.potentials import _v0_vec, make_morse, make_oscillator, make_pt
 from darboux_lab.seeds import (
     SeedBackendError, analytic_pair, numeric_pair, q_integral, wronskian_drift)
 
@@ -39,7 +38,7 @@ def test_analytic_members_solve_the_seed_equation():
         vp = member(grid + h)[0]
         vm = member(grid - h)[0]
         second = (vp - 2.0 * val + vm) / (h * h)
-        v0 = np.array([eval_v0(pair.spec, float(t)) for t in grid])
+        v0 = _v0_vec(pair.spec, grid)
         resid = np.abs(second - (v0 - 4.55) * val)
         scale = np.maximum(1.0, np.abs(second))
         assert float(np.max(resid / scale)) < 1e-5
