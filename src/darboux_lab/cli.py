@@ -335,11 +335,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv_text(header: str, columns) -> str:
-    rows = [header]
-    n = len(columns[0])
-    for i in range(n):
-        rows.append(",".join("%.17g" % col[i] for col in columns))
-    return "\n".join(rows) + "\n"
+    row = ",".join(["%.17g"] * len(columns))
+    rows = [row % cells for cells in zip(*(col.tolist() for col in columns))]
+    return "\n".join([header] + rows) + "\n"
 
 
 def _cmd_spectrum(cfg: dict, out: str | None) -> int:

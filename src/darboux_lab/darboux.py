@@ -230,21 +230,23 @@ def real_family_lambda0(pair: SeedPair, gamma_m: float, sign: int,
 
     scan = np.linspace(grid[0], grid[-1], max(4 * grid.size + 1, 2001))
     samples, _ = combo(scan)
-    zeros = []
-    for i in np.flatnonzero(np.signbit(samples[:-1]) != np.signbit(samples[1:])):
-        a, b = float(scan[i]), float(scan[i + 1])
-        fa = float(samples[i])
-        for _ in range(80):
-            m = 0.5 * (a + b)
-            fm = float(combo(m)[0][0])
-            if fm == 0.0:
-                a = b = m
-                break
-            if (fa < 0.0) == (fm < 0.0):
-                a, fa = m, fm
-            else:
-                b = m
-        zeros.append(0.5 * (a + b))
+    # all brackets bisect together, one evaluator call per step; a bracket
+    # stops shrinking once its midpoint rounds onto an end or it hit a zero
+    i = np.flatnonzero(np.signbit(samples[:-1]) != np.signbit(samples[1:]))
+    a, b, fa = scan[i], scan[i + 1], samples[i]
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        live = np.flatnonzero((a < m) & (m < b))
+        if live.size == 0:
+            break
+        m = m[live]
+        fm = combo(m)[0]
+        hit = fm == 0.0
+        left = (fa[live] < 0.0) == (fm < 0.0)
+        a[live] = np.where(left | hit, m, a[live])
+        b[live] = np.where(left & ~hit, b[live], m)
+        fa[live] = np.where(left, fm, fa[live])
+    zeros = [float(z) for z in 0.5 * (a + b)]
     zeros.extend(float(scan[i]) for i in np.flatnonzero(samples == 0.0))
     return field, sorted(zeros)
 
@@ -254,7 +256,8 @@ def zero_total_area(alpha: AlphaFunction, window=None) -> tuple[float, float]:
 
     Im V_lam is the exact derivative of 2 lam / alpha^2, so the quadrature
     must agree with the boundary evaluation; both are returned so callers can
-    check one against the other. For lam = 0 both are exactly zero.
+    check one against the other; the quadrature samples Im V_lam on arrays
+    and never reads the boundary values. For lam = 0 both are exactly zero.
     """
     if window is None:
         window = _sample_window(alpha.pair)
@@ -265,11 +268,10 @@ def zero_total_area(alpha: AlphaFunction, window=None) -> tuple[float, float]:
 
     def im_v(t):
         q, dq, _ = alpha.q_parts(t)
-        return -2.0 * lam * float((dq / q)[0]) / float(q[0])
+        return -2.0 * lam * (dq / q) / q
 
     integral = adaptive_simpson(im_v, a, b, tol=1e-9)
-    qa = float(alpha.q_parts(a)[0][0])
-    qb = float(alpha.q_parts(b)[0][0])
+    qa, qb = alpha.q_parts(np.array([a, b]))[0]
     boundary = 2.0 * lam / qb - 2.0 * lam / qa
     return float(integral), float(boundary)
 

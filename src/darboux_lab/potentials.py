@@ -259,8 +259,7 @@ def _bound_state_with_derivative(spec: PotentialSpec, n: int, x: np.ndarray):
     # normalization has no tidy closed form here; fix it by quadrature
     lo, hi = spec.window
     norm2 = adaptive_simpson(
-        lambda t: float(_pt_polynomial_state(spec, n, np.array([t]))[0][0]) ** 2,
-        lo, hi, tol=1e-12)
+        lambda t: _pt_polynomial_state(spec, n, t)[0] ** 2, lo, hi, tol=1e-12)
     scale = 1.0 / math.sqrt(norm2)
     return scale * phi, scale * dphi
 
@@ -269,8 +268,8 @@ def bound_state(spec: PotentialSpec, n: int, grid: np.ndarray) -> RealField:
     """Unit L2-normalized bound state phi_n sampled on a grid.
 
     The Morse normalization is closed form; the Poschl-Teller one is fixed by
-    adaptive quadrature over the full open domain, so it does not depend on
-    the sampling grid.
+    composite Simpson, with interval doubling, over the full domain, so it
+    does not depend on the sampling grid.
 
     Args:
         spec: family instance.

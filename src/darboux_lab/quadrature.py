@@ -1,4 +1,4 @@
-"""Quadrature helpers: composite Simpson on samples, adaptive Simpson on callables."""
+"""Quadrature helpers: composite Simpson on samples and on array integrands."""
 
 from __future__ import annotations
 
@@ -28,36 +28,26 @@ def simpson_samples(y: np.ndarray, h: float):
     return head + tail
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 48):
-    """Adaptive Simpson quadrature with interval bisection.
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10):
+    """Composite Simpson of f (abscissa array -> sample array) over [a, b].
 
-    Args:
-        f: scalar callable.
-        a, b: integration bounds, a < b.
-        tol: absolute tolerance, distributed over subintervals.
-        max_depth: recursion cap; exceeding it raises RuntimeError.
+    Starts on 1024 intervals and halves the step, reusing every sample,
+    until two successive values differ by at most 15 tol, then returns the
+    finer one plus the difference/15. Raises ValueError unless a < b, and
+    RuntimeError if the values still disagree at 2^18 intervals.
     """
     if not b > a:
         raise ValueError("need a < b")
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adapt(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _adapt(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise RuntimeError("adaptive Simpson failed to converge (depth exhausted)")
-    return (
-        _adapt(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1)
-        + _adapt(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
-    )
+    n = 1024
+    y = np.asarray(f(np.linspace(a, b, n + 1)))
+    value = simpson_samples(y, (b - a) / n)
+    while n < 2 ** 18:
+        n *= 2
+        h = (b - a) / n
+        y = np.insert(y, np.arange(1, y.size), f(a + h * np.arange(1, n, 2)))
+        finer = simpson_samples(y, h)
+        delta = finer - value
+        if abs(delta) <= 15.0 * tol:
+            return finer + delta / 15.0
+        value = finer
+    raise RuntimeError("adaptive Simpson failed to converge (interval cap exhausted)")

@@ -127,13 +127,16 @@ def _pt_pair(spec: PotentialSpec, epsilon: float) -> SeedPair:
     a = 0.5 * (r + k)
     b = 0.5 * (r - k)
 
-    def _even(x):
+    def _angles(x):
+        # z = sin^2 and its complement cos^2, each computed directly
         pts = _as_points(x)
-        sn = np.sin(u0 * pts)
-        cs = np.cos(u0 * pts)
-        z = sn * sn
-        f, _, conv = _gauss_vec(a, b, 0.5, z)
-        df_series, _, conv2 = _gauss_vec(a + 1.0, b + 1.0, 1.5, z)
+        sn, cs = np.sin(u0 * pts), np.cos(u0 * pts)
+        return sn, cs, sn * sn, cs * cs
+
+    def _even(x):
+        sn, cs, z, w = _angles(x)
+        f, _, conv = _gauss_vec(a, b, 0.5, z, w)
+        df_series, _, conv2 = _gauss_vec(a + 1.0, b + 1.0, 1.5, z, w)
         if not (conv.all() and conv2.all()):
             raise SeedBackendError(
                 "Gauss series did not converge on this window; use numeric_pair")
@@ -145,12 +148,9 @@ def _pt_pair(spec: PotentialSpec, epsilon: float) -> SeedPair:
     av, bv = a + 0.5, b + 0.5
 
     def _odd(x):
-        pts = _as_points(x)
-        sn = np.sin(u0 * pts)
-        cs = np.cos(u0 * pts)
-        z = sn * sn
-        g, _, conv = _gauss_vec(av, bv, 1.5, z)
-        dg_series, _, conv2 = _gauss_vec(av + 1.0, bv + 1.0, 2.5, z)
+        sn, cs, z, w = _angles(x)
+        g, _, conv = _gauss_vec(av, bv, 1.5, z, w)
+        dg_series, _, conv2 = _gauss_vec(av + 1.0, bv + 1.0, 2.5, z, w)
         if not (conv.all() and conv2.all()):
             raise SeedBackendError(
                 "Gauss series did not converge on this window; use numeric_pair")
@@ -335,7 +335,7 @@ def q_integral(pair: SeedPair, x: float, x_ref: float) -> float:
         x_ref: anchor; q(x_ref) = 0.
 
     Returns:
-        Adaptive-Simpson value to absolute tolerance 1e-10.
+        Composite-Simpson value to absolute tolerance 1e-10.
 
     Raises:
         ValueError: u_p vanishes (to sign-change or underflow resolution)
@@ -354,7 +354,7 @@ def q_integral(pair: SeedPair, x: float, x_ref: float) -> float:
 
     def integrand(t):
         val, _ = pair.up(t)
-        return 1.0 / float(val[0]) ** 2
+        return 1.0 / val ** 2
 
     value = adaptive_simpson(integrand, lo, hi, tol=1e-10)
     return value if x > x_ref else -value

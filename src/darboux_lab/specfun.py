@@ -185,12 +185,13 @@ def _connection_coefficient(num1, num2, den1, den2):
     return sign * math.exp(top1[1] + top2[1] - bot1[1] - bot2[1])
 
 
-def _gauss_vec(a: float, b: float, c: float, z: np.ndarray):
+def _gauss_vec(a: float, b: float, c: float, z: np.ndarray, w: np.ndarray):
     """2F1(a, b; c; z) for 0 <= z < 1 elementwise.
 
     Direct series for z <= 0.75 or for terminating parameter sets; otherwise
-    the linear 1-z connection formula with two fast inner series. Same
-    return contract as _kummer_vec.
+    the linear 1-z connection formula with two fast inner series, in the
+    complement w = 1 - z that callers compute directly (1 - z near z = 1
+    loses the digits w^(c-a-b) needs). Same return contract as _kummer_vec.
 
     Raises:
         ValueError: z outside [0, 1), c a nonpositive integer, or integer
@@ -216,7 +217,7 @@ def _gauss_vec(a: float, b: float, c: float, z: np.ndarray):
                 "degenerate 2F1 connection (c - a - b integer); "
                 "use the numeric seed backend for this parameter set"
             )
-        w = 1.0 - z[near]
+        w = np.asarray(w, dtype=float)[near]
         t1 = _connection_coefficient(c, cab, c - a, c - b)
         t2 = _connection_coefficient(c, -cab, a, b)
         f1 = np.zeros_like(w)

@@ -26,10 +26,16 @@ def _verdict(capfd, num: int, passed: bool, detail: str) -> None:
 
 
 def _spectrum_ok(sp: dict, expected, tol_abs: float, tol_imag: float = 1e-6):
-    if len(sp["predicted"]) != len(expected):
-        return False, f"slot count {len(sp['predicted'])} != {len(expected)}"
-    formula_gap = max(abs(p - e) for p, e in zip(sp["predicted"], expected))
-    worst = max(sp["abs_errors"])
+    """Judge either report shape: per-slot (Richardson) or per-level (pair mean)."""
+    if "levels" in sp:
+        predicted = [lv["energy"] for lv in sp["levels"]]
+        errors = [lv["abs_error"] for lv in sp["levels"]]
+    else:
+        predicted, errors = sp["predicted"], sp["abs_errors"]
+    if len(predicted) != len(expected):
+        return False, f"slot count {len(predicted)} != {len(expected)}"
+    formula_gap = max(abs(p - e) for p, e in zip(predicted, expected))
+    worst = max(errors)
     detail = f"max |dE| {worst:.1e} <= {tol_abs:.0e}, max |Im E| {sp['max_imag']:.1e}"
     ok = (formula_gap <= 1e-9 and worst <= tol_abs
           and sp["max_imag"] <= tol_imag and sp["passed"])
@@ -93,6 +99,16 @@ def test_criterion_5_embedded_energy_regularity(capfd):
         ok = ok and min_q > 0.0 and len(sings) == 2
         parts.append(f"eps={eps}: min Q {min_q:.3f} > 0, "
                      f"lam=0 alpha zeros {len(sings)}")
+    # eps = 6.45 = E1: the new eigenvalue coincides with a discrete energy
+    cons = build_construction(spec, 6.45, 1.0, 1.0, 1.0)
+    prediction = darboux.predict_spectrum(spec, 6.45, 3)
+    report = pipeline.spectrum_check(
+        spec, pipeline.field_factory(cons), _sample_window(cons.pair),
+        prediction, n_fine=1500, n_coarse=750)
+    sp_ok, detail = _spectrum_ok(report, (2.65, 6.45, 8.25), 1e-2,
+                                 pipeline.GATES["embedded_imag"])
+    ok = ok and report.get("mode") == "embedded_pair_mean" and sp_ok
+    parts.append(f"eps=6.45 spectrum at n=1500: {detail}")
     _verdict(capfd, 5, ok, "; ".join(parts))
 
 

@@ -11,9 +11,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from darboux_lab.cli import _THREAD_VARS, main
+import darboux_lab
+from darboux_lab.cli import _THREAD_VARS, _csv_text, main
 
 
 def run_cli(argv, capsys):
@@ -97,6 +99,16 @@ def test_potential_csv_shape(tmp_path, capsys):
     for row in lines[1:3]:
         assert len(row.split(",")) == 4
         [float(cell) for cell in row.split(",")]
+
+
+def test_csv_text_matches_cell_by_cell_formatting():
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                0.1, 1.0 / 3.0, -2.5e300]
+    x = np.linspace(-1.0, 1.0, 20001)
+    columns = (x, np.resize(specials, x.size), np.exp(x), -x * 1e-17)
+    rows = ["h"] + [",".join("%.17g" % col[i] for col in columns)
+                    for i in range(x.size)]
+    assert _csv_text("h", columns) == "\n".join(rows) + "\n"
 
 
 def test_states_outputs(tmp_path, capsys):
@@ -205,7 +217,11 @@ def test_figure_panel_changes_parameters(tmp_path, capsys):
 def test_identical_config_identical_bytes():
     cmd = [sys.executable, "-m", "darboux_lab.cli",
            "figure", "fig7", "--npoints", "300"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the child imports the package the tests import, installed or not
+    root = os.path.dirname(os.path.dirname(darboux_lab.__file__))
+    path = os.pathsep.join(filter(None, (root, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert len(first.stdout) > 0

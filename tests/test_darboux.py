@@ -129,6 +129,22 @@ def test_real_family_singularities_sorted_and_inside_window():
     assert all(grid[0] < s < grid[-1] for s in sings)
 
 
+def test_real_family_zeros_bracket_a_sign_change():
+    # the member v/omega0 + sign gamma_m u_p changes sign across each zero
+    grid = interior_grid(-4.0, 16.0, 1201)
+    for eps in (4.55, 6.45):
+        pair = analytic_pair(make_morse(1.0, 0.4, 2), eps)
+        for sign in (1, -1):
+            _, sings = darboux.real_family_lambda0(pair, 1.0, sign, grid)
+
+            def member(x, sign=sign):
+                return pair.v(x)[0] / pair.omega0 + sign * pair.up(x)[0]
+
+            z = np.array(sings)
+            assert z.size == 2
+            assert np.all(member(z - 1e-12) * member(z + 1e-12) < 0.0)
+
+
 def test_real_family_zero_counts():
     grid_m = interior_grid(-4.0, 16.0, 1201)
     for eps in (4.55, 6.45):

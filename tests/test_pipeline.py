@@ -100,6 +100,15 @@ def test_embedded_level_judged_by_pair_mean():
     assert doubled[0]["splitting"] > 10.0 * doubled[0]["abs_error"]
 
 
+def test_trig_epsilon_on_a_level_verifies():
+    # epsilon = E0 = 9: the seeds must stay accurate out to the walls for
+    # the Wronskian gate, and the doubled level goes by the pair mean
+    cons = build_construction(make_pt(1.0, 3.0), 9.0, 1.0, 1.0, 0.5)
+    report = verification_suite(cons, 3)
+    assert report["passed"], report["failures"]
+    assert report["checks"]["spectrum"]["mode"] == "embedded_pair_mean"
+
+
 def test_every_export_resolves():
     # the package loads its exports lazily from a name table
     for name in darboux_lab.__all__:

@@ -21,7 +21,9 @@ def test_morse_analytic_wronskian_value():
 
 
 def test_pt_analytic_wronskian_is_well_strength():
-    for eps in (0.25, 5.26, 8.075):
+    # 9, 16 and 25 are levels: one member is the bound state, so the wall
+    # samples stay inside the drift check and test the seeds there
+    for eps in (0.25, 5.26, 8.075, 9.0, 16.0, 25.0):
         pair = analytic_pair(make_pt(1.0, 3.0), eps)
         assert pair.omega0 == pytest.approx(1.0, rel=1e-14)
         assert wronskian_drift(pair) < 1e-8

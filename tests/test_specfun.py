@@ -80,20 +80,22 @@ def test_kummer_transformation_identity():
     (1.1, 0.4, 2.3, 0.86, 1.3114742754243318),    # connection region
 ])
 def test_gauss_reference_values(a, b, c, z, want):
-    values, _, converged = _gauss_vec(a, b, c, np.array([z]))
+    z = np.array([z])
+    values, _, converged = _gauss_vec(a, b, c, z, 1.0 - z)
     assert converged.all()
     assert values[0] == pytest.approx(want, rel=1e-13)
 
 
 def test_gauss_at_origin_is_one():
-    assert _gauss_vec(0.3, 0.9, 1.4, np.array([0.0]))[0][0] == 1.0
+    z = np.array([0.0])
+    assert _gauss_vec(0.3, 0.9, 1.4, z, 1.0 - z)[0][0] == 1.0
 
 
 def test_gauss_argument_symmetry():
     # the grid straddles the switch to the connection formula at z = 0.75
     z = np.array([0.15, 0.5, 0.88])
-    assert _gauss_vec(0.7, 1.9, 2.6, z)[0] == pytest.approx(
-        _gauss_vec(1.9, 0.7, 2.6, z)[0], rel=1e-13)
+    assert _gauss_vec(0.7, 1.9, 2.6, z, 1.0 - z)[0] == pytest.approx(
+        _gauss_vec(1.9, 0.7, 2.6, z, 1.0 - z)[0], rel=1e-13)
 
 
 def test_gauss_terminating_polynomial():
@@ -101,16 +103,15 @@ def test_gauss_terminating_polynomial():
     # limit
     b, c = 1.7, 2.4
     z = np.array([0.2, 0.95])
-    values, terms_used, converged = _gauss_vec(-1.0, b, c, z)
+    values, terms_used, converged = _gauss_vec(-1.0, b, c, z, 1.0 - z)
     assert converged.all() and terms_used == 2
     assert values == pytest.approx(1.0 - b * z / c, rel=1e-15)
 
 
 def test_gauss_rejects_argument_at_or_past_one():
-    with pytest.raises(ValueError):
-        _gauss_vec(0.3, 0.4, 1.5, np.array([1.0]))
-    with pytest.raises(ValueError):
-        _gauss_vec(0.3, 0.4, 1.5, np.array([-0.1]))
+    for z in (np.array([1.0]), np.array([-0.1])):
+        with pytest.raises(ValueError):
+            _gauss_vec(0.3, 0.4, 1.5, z, 1.0 - z)
 
 
 @pytest.mark.parametrize("n, alpha, y, want", [
