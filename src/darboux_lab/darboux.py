@@ -1,7 +1,7 @@
 """Complex partner potentials and their eigenstates.
 
-Given an alpha-function over a seed pair at factorization energy eps, this
-module builds
+Given an alpha-function over a seed pair at factorization energy eps, sampled
+once per grid (ermakov.AlphaSamples), this module builds
 
     beta   = -alpha'/alpha + i lam / alpha^2,
     V_lam  = V0 - 2 (ln alpha)'' + 2 i (lam / alpha^2)',
@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ermakov import AlphaFunction
+from .ermakov import AlphaFunction, AlphaSamples
 from .fields import ComplexField, EigenState, RealField, grid_step, is_symmetric_grid
-from .potentials import PotentialSpec, _bound_state_with_derivative, _v0_vec
+# unused (V0 comes with the samples), but perfbench/spans.py patches it here
+from .potentials import PotentialSpec, _bound_state_with_derivative, _v0_vec  # noqa: F401
 from .potentials import energy as level_energy
 from .quadrature import adaptive_simpson, simpson_samples
-from .seeds import SeedPair, _sample_window
+from .seeds import _sample_window
 
 ZERO_BINORM_TOL = 1e-10
 _LEVEL_MERGE_RTOL = 1e-9
@@ -68,28 +69,17 @@ def predict_spectrum(spec: PotentialSpec, epsilon: float,
                               tuple(e[2] for e in entries))
 
 
-def _q_ratios(alpha: AlphaFunction, x):
-    """(Q, r1, r2) with r1 = Q'/Q, r2 = Q''/Q; rejects nonpositive Q."""
-    q, dq, ddq = alpha.q_parts(x)
-    if np.any(q <= 0.0):
-        bad = np.atleast_1d(np.asarray(x, dtype=float))[q <= 0.0]
-        raise ValueError(
-            f"alpha vanishes near x = {bad[0]:.6g} (lam = 0 superposition); "
-            "the complex construction requires lam != 0 or a node-free member")
-    return q, dq / q, ddq / q
-
-
-def _beta_vec(alpha: AlphaFunction, x):
+def _beta_vec(samples: AlphaSamples):
     """(beta, beta') sample arrays."""
-    q, r1, r2 = _q_ratios(alpha, x)
-    lam = alpha.coeffs.lam
-    beta = -0.5 * r1 + 1j * lam / q
-    dbeta = -0.5 * (r2 - r1 * r1) - 1j * lam * r1 / q
+    r1, r2 = samples.ratios()
+    lam = samples.alpha.coeffs.lam
+    beta = -0.5 * r1 + 1j * lam / samples.q
+    dbeta = -0.5 * (r2 - r1 * r1) - 1j * lam * r1 / samples.q
     return beta, dbeta
 
 
-def complex_potential(alpha: AlphaFunction, grid) -> ComplexField:
-    """The partner potential V_lam sampled on a grid.
+def complex_potential(samples: AlphaSamples) -> ComplexField:
+    """The partner potential V_lam on the samples' grid.
 
     Re V_lam = V0 - (Q''/Q - (Q'/Q)^2), Im V_lam = -2 lam Q'/Q^2; both are
     assembled from the seed values and the seed ODE, with no numerical
@@ -98,14 +88,10 @@ def complex_potential(alpha: AlphaFunction, grid) -> ComplexField:
     Raises:
         ValueError: alpha vanishes on the grid (possible only for lam = 0).
     """
-    grid = np.asarray(grid, dtype=float)
-    q, r1, r2 = _q_ratios(alpha, grid)
-    lam = alpha.coeffs.lam
-    v0 = _v0_vec(alpha.pair.spec, grid)
-    values = v0 - (r2 - r1 * r1) - 2j * lam * r1 / q
-    meta = {"kind": "complex_potential", "lam": lam,
-            "epsilon": alpha.pair.epsilon, "family": alpha.pair.spec.family}
-    return ComplexField(grid, values, meta)
+    r1, r2 = samples.ratios()
+    lam = samples.alpha.coeffs.lam
+    values = samples.v0 - (r2 - r1 * r1) - 2j * lam * r1 / samples.q
+    return ComplexField(samples.x, values)
 
 
 def _binormalize(energy: float, grid: np.ndarray, raw: np.ndarray,
@@ -136,43 +122,38 @@ def _binormalize(energy: float, grid: np.ndarray, raw: np.ndarray,
     return EigenState(float(energy), grid, psi, achieved, False, provenance)
 
 
-def transform_bound_state(alpha: AlphaFunction, spec: PotentialSpec, n: int,
-                          grid) -> EigenState:
+def transform_bound_state(samples: AlphaSamples, n: int) -> EigenState:
     """Level E_n of V0 mapped to the eigenstate of V_lam at the same energy.
 
     psi = phi_n' + beta phi_n, bi-normalized. The new spectrum keeps E_n with
     index shifted up by one (eps takes the bottom slot when eps < E_0).
 
     Raises:
-        ValueError: spec does not match the pair, or n out of range.
+        ValueError: n out of range.
     """
-    if spec != alpha.pair.spec:
-        raise ValueError("potential spec does not match the seed pair")
-    grid = np.asarray(grid, dtype=float)
-    phi, dphi = _bound_state_with_derivative(spec, n, grid)
-    beta, _ = _beta_vec(alpha, grid)
+    spec = samples.alpha.pair.spec
+    phi, dphi = _bound_state_with_derivative(spec, n, samples.x)
+    beta, _ = _beta_vec(samples)
     raw = dphi + beta * phi
     prov = {"kind": "transformed", "seed_level": int(n), "new_index": int(n) + 1}
-    return _binormalize(level_energy(spec, n), grid, raw, prov)
+    return _binormalize(level_energy(spec, n), samples.x, raw, prov)
 
 
-def _missing_with_derivative(alpha: AlphaFunction, grid):
+def _missing_with_derivative(samples: AlphaSamples):
     """Raw missing-state samples and derivative, before normalization."""
-    co = alpha.coeffs
+    co = samples.alpha.coeffs
     if co.c == 0.0:
         # lam = 0 with I0 = 0: the member is u_p q itself, singular at the
         # anchor, and k below is 0/0
         raise ValueError("the missing state requires lam != 0 or I0 != 0")
     k = (co.lam / co.omega0 - 0.5j * co.b) / co.c
-    up, dup = alpha.pair.up(grid)
-    v, dv = alpha.pair.v(grid)
-    q, dq, _ = alpha.q_parts(grid)
-    raw = (k * v - 1j * up) / q
-    draw = (k * dv - 1j * dup) / q - (dq / q) * raw
+    q = samples.q
+    raw = (k * samples.v - 1j * samples.up) / q
+    draw = (k * samples.dv - 1j * samples.dup) / q - (samples.dq / q) * raw
     return raw, draw
 
 
-def missing_state(alpha: AlphaFunction, grid) -> EigenState:
+def missing_state(samples: AlphaSamples) -> EigenState:
     """The eigenstate of V_lam at the factorization energy eps.
 
     psi_eps is proportional to (k v - i u_p)/alpha^2 with
@@ -180,74 +161,72 @@ def missing_state(alpha: AlphaFunction, grid) -> EigenState:
     bi-normalized like every other state; a bilinear norm below threshold is
     reported through the zero_binorm flag with the state kept L2-normalized.
     """
-    grid = np.asarray(grid, dtype=float)
-    raw, _ = _missing_with_derivative(alpha, grid)
-    return _binormalize(alpha.pair.epsilon, grid, raw, {"kind": "missing"})
+    raw, _ = _missing_with_derivative(samples)
+    return _binormalize(samples.alpha.pair.epsilon, samples.x, raw,
+                        {"kind": "missing"})
 
 
-def real_family_lambda0(pair: SeedPair, gamma_m: float, sign: int,
-                        grid) -> tuple[RealField, list]:
-    """One-parameter real partner family from the lam = 0 linear combination.
+def _lambda0_member(samples: AlphaSamples, gamma_m: float, sign: int):
+    """(m, m') of the lam = 0 member m = v/omega0 + sign * gamma_m * u_p."""
+    w0 = samples.alpha.pair.omega0
+    return (samples.v / w0 + sign * gamma_m * samples.up,
+            samples.dv / w0 + sign * gamma_m * samples.dup)
+
+
+def real_family_field(samples: AlphaSamples, gamma_m: float,
+                      sign: int) -> RealField:
+    """Partner potential of one lam = 0 family member on the samples' grid.
 
     alpha is proportional to u_p (q + sign * gamma_m) with q the
     reciprocal-square integral; since v = omega0 u_p q up to an additive
     multiple of u_p absorbed in q's anchor, the member is evaluated as
-    v/omega0 + sign * gamma_m * u_p, which crosses nodes of u_p smoothly and
-    is exactly the lam = 0 limit of the quadratic form (b/2a = sign *
-    gamma_m * omega0). The partner is V = 2 eps - V0 + 2 (alpha'/alpha)^2.
-    Zeros of alpha are located by dense sign scan plus bisection and returned
-    as data; the potential samples near them are large but finite.
-
-    Args:
-        pair: seed pair at the family's factorization energy.
-        gamma_m: family parameter, >= 0.
-        sign: +1 or -1.
-        grid: sampling abscissas.
-
-    Returns:
-        (RealField of the partner potential, sorted singularity locations).
+    m = v/omega0 + sign * gamma_m * u_p (gamma_m >= 0, sign +1 or -1), which
+    crosses nodes of u_p smoothly and is exactly the lam = 0 limit of the
+    quadratic form (b/2a = sign * gamma_m * omega0). The partner is
+    V = 2 eps - V0 + 2 (m'/m)^2; its samples near a zero of m are large but
+    finite. Only the samples' seed pair is read, so any alpha over it will do.
     """
     if gamma_m < 0.0:
         raise ValueError("gamma_m must be nonnegative")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    w0 = pair.omega0
+    lin, dlin = _lambda0_member(samples, gamma_m, sign)
+    eps = samples.alpha.pair.epsilon
+    return RealField(samples.x, 2.0 * eps - samples.v0 + 2.0 * (dlin / lin) ** 2)
 
-    def combo(x):
-        up, dup = pair.up(x)
-        v, dv = pair.v(x)
-        lin = v / w0 + sign * gamma_m * up
-        dlin = dv / w0 + sign * gamma_m * dup
-        return lin, dlin
 
-    grid = np.asarray(grid, dtype=float)
-    lin, dlin = combo(grid)
-    v0_vals = _v0_vec(pair.spec, grid)
-    values = 2.0 * pair.epsilon - v0_vals + 2.0 * (dlin / lin) ** 2
-    meta = {"kind": "real_family_lambda0", "gamma_m": float(gamma_m),
-            "sign": int(sign), "epsilon": pair.epsilon}
-    field = RealField(grid, values, meta)
+def real_family_lambda0(samples: AlphaSamples, gamma_m: float,
+                        sign: int) -> tuple[RealField, list]:
+    """The lam = 0 member's partner potential and the zeros of the member.
 
+    The zeros are located by a sign scan on 4n + 1 points spanning the
+    samples' grid, then bisection, and returned sorted as data.
+
+    Returns:
+        (real_family_field of the samples, sorted singularity locations).
+    """
+    field = real_family_field(samples, gamma_m, sign)
+    alpha, grid = samples.alpha, samples.x
     scan = np.linspace(grid[0], grid[-1], max(4 * grid.size + 1, 2001))
-    samples, _ = combo(scan)
+    values = _lambda0_member(alpha.q_parts(scan), gamma_m, sign)[0]
     # all brackets bisect together, one evaluator call per step; a bracket
     # stops shrinking once its midpoint rounds onto an end or it hit a zero
-    i = np.flatnonzero(np.signbit(samples[:-1]) != np.signbit(samples[1:]))
-    a, b, fa = scan[i], scan[i + 1], samples[i]
+    i = np.flatnonzero(np.signbit(values[:-1]) != np.signbit(values[1:]))
+    a, b, fa = scan[i], scan[i + 1], values[i]
     for _ in range(80):
         m = 0.5 * (a + b)
         live = np.flatnonzero((a < m) & (m < b))
         if live.size == 0:
             break
         m = m[live]
-        fm = combo(m)[0]
+        fm = _lambda0_member(alpha.q_parts(m), gamma_m, sign)[0]
         hit = fm == 0.0
         left = (fa[live] < 0.0) == (fm < 0.0)
         a[live] = np.where(left | hit, m, a[live])
         b[live] = np.where(left & ~hit, b[live], m)
         fa[live] = np.where(left, fm, fa[live])
     zeros = [float(z) for z in 0.5 * (a + b)]
-    zeros.extend(float(scan[i]) for i in np.flatnonzero(samples == 0.0))
+    zeros.extend(float(scan[i]) for i in np.flatnonzero(values == 0.0))
     return field, sorted(zeros)
 
 
@@ -267,11 +246,11 @@ def zero_total_area(alpha: AlphaFunction, window=None) -> tuple[float, float]:
         return 0.0, 0.0
 
     def im_v(t):
-        q, dq, _ = alpha.q_parts(t)
-        return -2.0 * lam * (dq / q) / q
+        samples = alpha.q_parts(t)
+        return -2.0 * lam * (samples.dq / samples.q) / samples.q
 
     integral = adaptive_simpson(im_v, a, b, tol=1e-9)
-    qa, qb = alpha.q_parts(np.array([a, b]))[0]
+    qa, qb = alpha.q_parts(np.array([a, b])).q
     boundary = 2.0 * lam / qb - 2.0 * lam / qa
     return float(integral), float(boundary)
 

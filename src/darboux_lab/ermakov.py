@@ -77,64 +77,88 @@ def make_coeffs(lam: float, big_j: float, i0: float, omega0: float) -> ErmakovCo
 
 
 @dataclass(frozen=True)
-class AlphaFunction:
-    """Positive root alpha = +sqrt(Q) over a seed pair.
+class AlphaSamples:
+    """The seed pair, V0 and Q = alpha^2 sampled on one grid.
 
-    Evaluation returns (alpha, alpha', alpha'') with alpha'' assembled from
+    V_lam, beta, the states, the lam = 0 member and the identity gates on a
+    grid all read one such record instead of evaluating the seeds again.
+    Q'' is assembled from
 
         Q'' = 2 (a v'^2 + b v' u_p' + c u_p'^2) + 2 (V0 - eps) Q,
 
     which uses the seed equation instead of any numerical differentiation.
     """
 
+    alpha: AlphaFunction
+    x: np.ndarray
+    up: np.ndarray
+    dup: np.ndarray
+    v: np.ndarray
+    dv: np.ndarray
+    v0: np.ndarray
+    q: np.ndarray
+    dq: np.ndarray
+    ddq: np.ndarray
+
+    def _require_positive_q(self):
+        """Raises ValueError at Q <= 0. With lam != 0 the form is positive
+        definite, so this signals a node of the lam = 0 linear family,
+        reported rather than masked."""
+        if np.any(self.q <= 0.0):
+            raise ValueError(
+                f"alpha vanishes near x = {self.x[self.q <= 0.0][0]:.6g} "
+                "(lam = 0 superposition); the complex construction requires "
+                "lam != 0 or a node-free member")
+
+    def ratios(self):
+        """(Q'/Q, Q''/Q), which stay O(1) where the seeds reach 1e+100."""
+        self._require_positive_q()
+        return self.dq / self.q, self.ddq / self.q
+
+    def alpha_parts(self):
+        """(alpha, alpha', alpha'') sample arrays."""
+        self._require_positive_q()
+        alpha = np.sqrt(self.q)
+        dalpha = self.dq / (2.0 * alpha)
+        # keep the O(1) ratio dalpha/alpha grouped: dq * dalpha alone can
+        # overflow where the seeds reach 1e+100 scales
+        ddalpha = (self.ddq - self.dq * (dalpha / alpha)) / (2.0 * alpha)
+        return alpha, dalpha, ddalpha
+
+
+@dataclass(frozen=True)
+class AlphaFunction:
+    """Positive root alpha = +sqrt(Q) over a seed pair."""
+
     pair: SeedPair
     coeffs: ErmakovCoeffs
 
-    def q_parts(self, x):
-        """(Q, Q', Q'') sample arrays at the abscissas x."""
+    def q_parts(self, x) -> AlphaSamples:
+        """The seeds, V0 and (Q, Q', Q'') sampled at the abscissas x."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         up, dup = self.pair.up(x)
         v, dv = self.pair.v(x)
         co = self.coeffs
         q = co.a * v * v + co.b * v * up + co.c * up * up
         dq = 2.0 * co.a * v * dv + co.b * (dv * up + v * dup) + 2.0 * co.c * up * dup
         grad = 2.0 * (co.a * dv * dv + co.b * dv * dup + co.c * dup * dup)
-        w = _v0_vec(self.pair.spec, np.atleast_1d(np.asarray(x, dtype=float)))
+        w = _v0_vec(self.pair.spec, x)
         ddq = grad + 2.0 * (w - self.pair.epsilon) * q
-        return q, dq, ddq
-
-    def evaluate(self, x):
-        """(alpha, alpha', alpha'') sample arrays at the abscissas x.
-
-        Raises:
-            ValueError: Q <= 0 at some abscissa. With lam != 0 the form is
-                positive definite, so this signals a node of the lam = 0
-                linear family, reported rather than masked.
-        """
-        q, dq, ddq = self.q_parts(x)
-        if np.any(q <= 0.0):
-            bad = np.atleast_1d(np.asarray(x, dtype=float))[q <= 0.0]
-            raise ValueError(
-                f"alpha-function vanishes near x = {bad[0]:.6g}; "
-                "the lam = 0 superposition is singular there")
-        alpha = np.sqrt(q)
-        dalpha = dq / (2.0 * alpha)
-        # keep the O(1) ratio dalpha/alpha grouped: dq * dalpha alone can
-        # overflow where the seeds reach 1e+100 scales
-        ddalpha = (ddq - dq * (dalpha / alpha)) / (2.0 * alpha)
-        return alpha, dalpha, ddalpha
+        return AlphaSamples(self, x, up, dup, v, dv, w, q, dq, ddq)
 
 
-def invariant_j_scan(alpha: AlphaFunction, grid) -> float:
+def invariant_j_scan(samples: AlphaSamples, keep) -> float:
     """Max relative deviation of W^2(u_p, alpha) + (lam u_p / alpha)^2 from J.
 
-    The Wronskian here uses the directly evaluated seed and alpha derivatives,
-    so the scan genuinely exercises the ODE solutions rather than restating
-    the coefficient identity.
+    Scans the abscissas that the index or mask keep selects. The Wronskian
+    here uses the directly evaluated seed and alpha derivatives, so the scan
+    genuinely exercises the ODE solutions rather than restating the
+    coefficient identity.
     """
-    grid = np.asarray(grid, dtype=float)
-    up, dup = alpha.pair.up(grid)
-    a_val, da_val, _ = alpha.evaluate(grid)
+    a_val, da_val, _ = samples.alpha_parts()
+    up, dup, a_val, da_val = (arr[keep] for arr in (samples.up, samples.dup,
+                                                   a_val, da_val))
     w = up * da_val - dup * a_val
-    lam = alpha.coeffs.lam
-    total = w * w + (lam * up / a_val) ** 2
-    return float(np.max(np.abs(total - alpha.coeffs.big_j)) / alpha.coeffs.big_j)
+    co = samples.alpha.coeffs
+    total = w * w + (co.lam * up / a_val) ** 2
+    return float(np.max(np.abs(total - co.big_j)) / co.big_j)

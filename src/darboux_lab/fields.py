@@ -10,7 +10,6 @@ checks are not polluted by accumulated rounding in the abscissas themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -21,7 +20,6 @@ class RealField:
 
     x: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.x.shape != self.values.shape:
@@ -34,7 +32,6 @@ class ComplexField:
 
     x: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.x.shape != self.values.shape:

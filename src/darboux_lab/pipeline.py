@@ -17,7 +17,8 @@ import numpy as np
 from . import darboux, oracle
 from .ermakov import AlphaFunction, invariant_j_scan, make_coeffs
 from .fields import interior_grid, is_symmetric_grid
-from .potentials import MORSE, PotentialSpec, _v0_vec
+# unused (V0 comes with the samples), but perfbench/spans.py patches it here
+from .potentials import MORSE, PotentialSpec, _v0_vec  # noqa: F401
 from .quadrature import simpson_samples
 from .seeds import (SeedBackendError, SeedPair, _sample_window, analytic_pair,
                     numeric_pair, wronskian_drift)
@@ -103,9 +104,9 @@ def build_construction(spec: PotentialSpec, epsilon: float, lam: float,
 def field_factory(cons: Construction):
     """grid -> sampled partner potential; real family when lam = 0."""
     if cons.lam != 0.0:
-        return lambda grid: darboux.complex_potential(cons.alpha, grid)
-    return lambda grid: darboux.real_family_lambda0(
-        cons.pair, cons.gamma_m, cons.family_sign, grid)[0]
+        return lambda grid: darboux.complex_potential(cons.alpha.q_parts(grid))
+    return lambda grid: darboux.real_family_field(
+        cons.alpha.q_parts(grid), cons.gamma_m, cons.family_sign)
 
 
 def default_tol_abs(spec: PotentialSpec) -> float:
@@ -219,21 +220,22 @@ def spectrum_check(spec, make_field, window, prediction,
                                n_coarse, tol_abs=tol_abs, cutoff=cutoff)
 
 
-def _conditioned_scan(pair: SeedPair, grid, a_val, da_val, big_j: float):
-    """Subgrid where W(u_p, alpha) is computable without fatal cancellation."""
-    up, dup = pair.up(grid)
-    kappa = np.abs(up * da_val) + np.abs(dup * a_val)
+def _conditioned_scan(samples, big_j: float):
+    """Mask of the samples where W(u_p, alpha) escapes fatal cancellation."""
+    a_val, da_val, _ = samples.alpha_parts()
+    kappa = np.abs(samples.up * da_val) + np.abs(samples.dup * a_val)
     keep = kappa <= _SCAN_COND_CAP * max(1.0, math.sqrt(big_j))
     if not np.any(keep):
         keep = kappa == np.min(kappa)
-    return grid[keep]
+    return keep
 
 
 def build_states(cons: Construction, grid, n_states: int):
     """Missing state followed by the first n_states transformed states."""
-    states = [darboux.missing_state(cons.alpha, grid)]
+    samples = cons.alpha.q_parts(grid)
+    states = [darboux.missing_state(samples)]
     for n in range(n_states):
-        states.append(darboux.transform_bound_state(cons.alpha, cons.spec, n, grid))
+        states.append(darboux.transform_bound_state(samples, n))
     return states
 
 
@@ -273,11 +275,12 @@ def verification_suite(cons: Construction, n_states: int,
     prediction = darboux.predict_spectrum(spec, pair.epsilon, n_states)
     make_field = field_factory(cons)
 
+    samples = cons.alpha.q_parts(grid)
     if cons.lam == 0.0:
         # real one-parameter family: a singular member does not preserve the
         # domain, so only the singularity report applies to it
-        field, sings = darboux.real_family_lambda0(
-            pair, cons.gamma_m, cons.family_sign, grid)
+        _, sings = darboux.real_family_lambda0(
+            samples, cons.gamma_m, cons.family_sign)
         checks["singularities"] = {"locations": [float(s) for s in sings],
                                    "count": len(sings)}
         if not sings:
@@ -285,20 +288,17 @@ def verification_suite(cons: Construction, n_states: int,
                 spec, make_field, window, prediction, n_fine, n_coarse)
             if not checks["spectrum"]["passed"]:
                 failures.append("spectrum")
-            a_val, da_val, _ = cons.alpha.evaluate(grid)
-            scan = _conditioned_scan(pair, grid, a_val, da_val, co.big_j)
-            gate("j_scan", invariant_j_scan(cons.alpha, scan), "j_scan")
-        out = {"checks": checks, "failures": failures,
-               "passed": not failures}
-        return out
+            keep = _conditioned_scan(samples, co.big_j)
+            gate("j_scan", invariant_j_scan(samples, keep), "j_scan")
+        return {"checks": checks, "failures": failures, "passed": not failures}
 
     checks["spectrum"] = spectrum_check(
         spec, make_field, window, prediction, n_fine, n_coarse)
     if not checks["spectrum"]["passed"]:
         failures.append("spectrum")
 
-    v0 = _v0_vec(spec, grid)
-    a_val, da_val, dda_val = cons.alpha.evaluate(grid)
+    v0 = samples.v0
+    a_val, _, dda_val = samples.alpha_parts()
     # grouped as (lam/alpha)^2/alpha: alpha**3 overflows where the seeds are
     # astronomically large, while the quotient just underflows to zero
     ermakov_res = np.abs(dda_val - (v0 - pair.epsilon) * a_val
@@ -307,23 +307,22 @@ def verification_suite(cons: Construction, n_states: int,
          float(np.max(ermakov_res / np.maximum(1.0, np.abs(dda_val)))),
          "ermakov_residual")
 
-    beta, dbeta = darboux._beta_vec(cons.alpha, grid)
+    beta, dbeta = darboux._beta_vec(samples)
     gate("riccati_residual",
          float(np.max(np.abs(-dbeta + beta * beta - (v0 - pair.epsilon)))),
          "riccati_residual")
 
-    scan = _conditioned_scan(pair, grid, a_val, da_val, co.big_j)
-    gate("j_scan", invariant_j_scan(cons.alpha, scan), "j_scan",
-         {"scan_points": int(scan.size)})
+    keep = _conditioned_scan(samples, co.big_j)
+    gate("j_scan", invariant_j_scan(samples, keep), "j_scan",
+         {"scan_points": int(np.count_nonzero(keep))})
 
     area, boundary = darboux.zero_total_area(cons.alpha)
     gate("zero_area", abs(area), "zero_area",
          {"boundary_form": boundary, "consistency": abs(area - boundary)})
 
-    q_scan, _, _ = cons.alpha.q_parts(grid)
-    checks["min_q"] = {"value": float(np.min(q_scan))}
+    checks["min_q"] = {"value": float(np.min(samples.q))}
 
-    field = make_field(grid)
+    field = darboux.complex_potential(samples)
     if is_symmetric_grid(grid):
         asym = darboux.pt_symmetry_check(field)
         if co.b == 0.0:
@@ -333,7 +332,8 @@ def verification_suite(cons: Construction, n_states: int,
 
     for n_sgrid in _STATE_GRID_LADDER:
         sgrid = interior_grid(window[0], window[1], n_sgrid)
-        sfield = make_field(sgrid)
+        ssamples = cons.alpha.q_parts(sgrid)
+        sfield = darboux.complex_potential(ssamples)
         states = build_states(cons, sgrid, n_states)
         residuals = [oracle.schrodinger_residual(st, sfield) for st in states]
         if max(residuals) <= GATES["state_residual"]:
@@ -374,8 +374,8 @@ def verification_suite(cons: Construction, n_states: int,
     gate("biorthogonality", cross_max, "biorthogonality")
 
     missing = states[0]
-    raw, draw = darboux._missing_with_derivative(cons.alpha, sgrid)
-    sbeta, _ = darboux._beta_vec(cons.alpha, sgrid)
+    raw, draw = darboux._missing_with_derivative(ssamples)
+    sbeta, _ = darboux._beta_vec(ssamples)
     mask = np.abs(raw) > 1e-6 * float(np.max(np.abs(raw)))
     logdev = float(np.max(np.abs(draw[mask] / raw[mask] - sbeta[mask])))
     checks["missing_log_derivative"] = {"value": logdev}

@@ -277,11 +277,11 @@ def bound_state(spec: PotentialSpec, n: int, grid: np.ndarray) -> RealField:
         grid: strictly increasing abscissas inside the domain.
 
     Returns:
-        RealField with provenance meta "bound_state".
+        RealField of the samples.
 
     Raises:
         ValueError: out-of-range n or abscissas outside the domain.
     """
     grid = np.asarray(grid, dtype=float)
     phi, _ = _bound_state_with_derivative(spec, n, grid)
-    return RealField(grid, phi, meta=f"bound_state[{spec.family} n={n}]")
+    return RealField(grid, phi)

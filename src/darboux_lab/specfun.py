@@ -137,8 +137,6 @@ def _kummer_vec(a: float, c: float, z: np.ndarray):
         prev_small = small
         if converged.all():
             break
-    if degree is not None and degree == 0:
-        converged[:] = True
     return total, terms, converged
 
 
@@ -165,8 +163,6 @@ def _gauss_series_vec(a: float, b: float, c: float, z: np.ndarray):
         prev_small = small
         if converged.all():
             break
-    if degree is not None and degree == 0:
-        converged[:] = True
     return total, terms, converged
 
 

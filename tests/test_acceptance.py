@@ -91,11 +91,10 @@ def test_criterion_5_embedded_energy_regularity(capfd):
         cons = build_construction(spec, eps, 1.0, 1.0, 1.0)
         lo, hi = _sample_window(cons.pair)
         grid = interior_grid(lo, hi, 4001)
-        q_scan, _, _ = cons.alpha.q_parts(grid)
-        min_q = float(np.min(q_scan))
+        min_q = float(np.min(cons.alpha.q_parts(grid).q))
         cons0 = build_construction(spec, eps, 0.0, 1.0, 1.0)
         _, sings = darboux.real_family_lambda0(
-            cons0.pair, cons0.gamma_m, cons0.family_sign, grid)
+            cons0.alpha.q_parts(grid), cons0.gamma_m, cons0.family_sign)
         ok = ok and min_q > 0.0 and len(sings) == 2
         parts.append(f"eps={eps}: min Q {min_q:.3f} > 0, "
                      f"lam=0 alpha zeros {len(sings)}")
@@ -120,12 +119,11 @@ def test_criterion_6_real_family(capfd):
     ok = True
     parts = []
     for gamma_m in (1.35, 0.7402):
-        _, sings = darboux.real_family_lambda0(cons.pair, gamma_m, 1,
-                                               scan_grid)
+        _, sings = darboux.real_family_lambda0(
+            cons.alpha.q_parts(scan_grid), gamma_m, 1)
 
         def member(g, gm=gamma_m):
-            field, _ = darboux.real_family_lambda0(cons.pair, gm, 1, g)
-            return field
+            return darboux.real_family_field(cons.alpha.q_parts(g), gm, 1)
 
         report = richardson_spectrum(
             member, window, prediction, n_fine=1200, n_coarse=600,

@@ -48,7 +48,7 @@ def test_ermakov_equation_residual():
     pair = analytic_pair(spec, 0.0)
     alpha = AlphaFunction(pair, make_coeffs(1.0, 1.0, 1.0, pair.omega0))
     grid = interior_grid(spec.window[0], spec.window[1], 1000)
-    a_val, _, dda = alpha.evaluate(grid)
+    a_val, _, dda = alpha.q_parts(grid).alpha_parts()
     v0 = _v0_vec(spec, grid)
     resid = np.abs(dda - v0 * a_val - 1.0 / a_val ** 3)
     assert float(np.max(resid / np.maximum(1.0, np.abs(dda)))) < 1e-7
@@ -62,29 +62,29 @@ def test_alpha_at_seed_node_reduces_to_av_squared():
     co = make_coeffs(1.0, 1.0, 1.0, pair.omega0)
     alpha = AlphaFunction(pair, co)
     node = brentq(lambda t: float(pair.up(t)[0][0]), -0.3, 0.0)
-    q, _, _ = alpha.q_parts(np.array([node]))
+    q = alpha.q_parts(np.array([node])).q
     v_node = pair.v(np.array([node]))[0][0]
     assert q[0] > 0.0
     assert q[0] == pytest.approx(co.a * v_node * v_node, rel=1e-10)
 
 
-def _conditioned(pair, alpha, grid, big_j):
+def _conditioned(alpha, grid, big_j):
     # keep only abscissas where the Wronskian products stay small enough for
     # the subtraction to carry information
-    a_val, da_val, _ = alpha.evaluate(grid)
-    up, dup = pair.up(grid)
-    kappa = np.abs(up * da_val) + np.abs(dup * a_val)
-    return grid[kappa <= 1e3 * max(1.0, math.sqrt(big_j))]
+    samples = alpha.q_parts(grid)
+    a_val, da_val, _ = samples.alpha_parts()
+    kappa = np.abs(samples.up * da_val) + np.abs(samples.dup * a_val)
+    return samples, kappa <= 1e3 * max(1.0, math.sqrt(big_j))
 
 
 def test_invariant_scan_morse():
     spec = make_morse(1.0, 0.4, 2)
     pair = analytic_pair(spec, 0.0)
     alpha = AlphaFunction(pair, make_coeffs(1.0, 1.0, 1.0, pair.omega0))
-    grid = _conditioned(pair, alpha,
-                        interior_grid(spec.window[0], spec.window[1], 800), 1.0)
-    assert grid.size > 400
-    assert invariant_j_scan(alpha, grid) < 1e-8
+    samples, keep = _conditioned(
+        alpha, interior_grid(spec.window[0], spec.window[1], 800), 1.0)
+    assert np.count_nonzero(keep) > 400
+    assert invariant_j_scan(samples, keep) < 1e-8
 
 
 def test_invariant_scan_pt_symmetric_coeffs():
@@ -93,10 +93,9 @@ def test_invariant_scan_pt_symmetric_coeffs():
     big_j = math.pi / 4.0
     alpha = AlphaFunction(
         pair, make_coeffs(math.sqrt(big_j), big_j, 0.0, pair.omega0))
-    grid = _conditioned(pair, alpha,
-                        interior_grid(-1.5, 1.5, 800), big_j)
-    assert grid.size > 400
-    assert invariant_j_scan(alpha, grid) < 1e-8
+    samples, keep = _conditioned(alpha, interior_grid(-1.5, 1.5, 800), big_j)
+    assert np.count_nonzero(keep) > 400
+    assert invariant_j_scan(samples, keep) < 1e-8
 
 
 def test_second_derivative_of_q_by_finite_differences():
@@ -104,9 +103,9 @@ def test_second_derivative_of_q_by_finite_differences():
     alpha = AlphaFunction(pair, make_coeffs(0.7, 2.74, 3.701, pair.omega0))
     grid = np.linspace(-1.1, 1.1, 61)
     h = 1e-4
-    _, _, ddq = alpha.q_parts(grid)
-    qp = alpha.q_parts(grid + h)[0]
-    q0 = alpha.q_parts(grid)[0]
-    qm = alpha.q_parts(grid - h)[0]
+    ddq = alpha.q_parts(grid).ddq
+    qp = alpha.q_parts(grid + h).q
+    q0 = alpha.q_parts(grid).q
+    qm = alpha.q_parts(grid - h).q
     num = (qp - 2.0 * q0 + qm) / (h * h)
     assert float(np.max(np.abs(num - ddq) / np.maximum(1.0, np.abs(ddq)))) < 1e-6

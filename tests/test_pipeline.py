@@ -1,11 +1,16 @@
 """Orchestration: construction assembly, the verification suite, and the
 special handling of embedded factorization energies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import darboux_lab
+from darboux_lab import darboux
 from darboux_lab.darboux import predict_spectrum
+from darboux_lab.ermakov import AlphaFunction
+from darboux_lab.fields import interior_grid
 from darboux_lab.pipeline import (
     GATES, build_construction, embedded_spectrum, field_factory,
     verification_suite, _sample_window)
@@ -113,3 +118,49 @@ def test_every_export_resolves():
     # the package loads its exports lazily from a name table
     for name in darboux_lab.__all__:
         assert getattr(darboux_lab, name) is not None, name
+
+
+def test_each_grid_samples_the_seeds_at_most_twice(get_case):
+    # one record per grid feeds the field, beta, the states and the gates;
+    # only the spectrum check (fine grid) and build_states (state grid)
+    # sample again
+    cons = get_case("case1")
+    counts = {}
+
+    def counted(member, fn):
+        def evaluate(x):
+            pts = np.atleast_1d(np.asarray(x, dtype=float))
+            key = (member, pts.tobytes())
+            counts[key] = counts.get(key, 0) + 1
+            return fn(x)
+        return evaluate
+
+    pair = dataclasses.replace(cons.pair, up=counted("up", cons.pair.up),
+                               v=counted("v", cons.pair.v))
+    alpha = AlphaFunction(pair, cons.alpha.coeffs)
+    report = verification_suite(
+        dataclasses.replace(cons, pair=pair, alpha=alpha), 3)
+    assert report["passed"], report["failures"]
+    big = {key: n for key, n in counts.items() if len(key[1]) >= 8 * 800}
+    assert {member for member, _ in big} == {"up", "v"}
+    assert max(big.values()) <= 2, sorted(
+        (member, len(x) // 8, n) for (member, x), n in big.items())
+
+
+def test_lambda0_field_skips_the_zero_search(monkeypatch):
+    # the fig11a configuration: only verification_suite locates the zeros
+    calls = []
+    original = darboux.real_family_lambda0
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(darboux, "real_family_lambda0", counted)
+    cons = build_construction(make_pt(1.0, 3.0), 5.26, 0.0, 2.74, 3.701)
+    field = field_factory(cons)(interior_grid(*_sample_window(cons.pair), 1200))
+    assert np.all(np.isfinite(field.values))
+    assert calls == []
+    report = verification_suite(cons, 3, 1200, 600)
+    assert report["passed"], report["failures"]
+    assert len(calls) == 1

@@ -62,6 +62,12 @@ def test_kummer_terminates_for_nonpositive_integer_a():
     exact = 1.0 - 2.0 * 0.8 / c + 0.8 ** 2 / (c * (c + 1.0))
     assert converged.all() and terms_used == 3
     assert values[0] == pytest.approx(exact, rel=1e-15)
+    # degree 0 (a snapped Morse seed at epsilon = E0): the constant 1
+    z = np.array([-3.0, 0.8, 450.0])
+    for a in (0.0, -0.0):
+        values, terms_used, converged = _kummer_vec(a, c, z)
+        assert converged.all() and terms_used == 1
+        assert np.all(values == 1.0)
 
 
 def test_kummer_transformation_identity():
@@ -106,6 +112,11 @@ def test_gauss_terminating_polynomial():
     values, terms_used, converged = _gauss_vec(-1.0, b, c, z, 1.0 - z)
     assert converged.all() and terms_used == 2
     assert values == pytest.approx(1.0 - b * z / c, rel=1e-15)
+    # degree 0: the constant 1, on both sides of the direct-series limit
+    for a in (0.0, -0.0):
+        values, terms_used, converged = _gauss_vec(a, b, c, z, 1.0 - z)
+        assert converged.all() and terms_used == 1
+        assert np.all(values == 1.0)
 
 
 def test_gauss_rejects_argument_at_or_past_one():
